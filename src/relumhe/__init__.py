@@ -13,7 +13,6 @@ from .mhe_train import (
     convergence_report,
     gd_baseline,
     mhe_step,
-    projectors_for_batch,
     regularized_mhe_step,
     train,
     train_regularized,

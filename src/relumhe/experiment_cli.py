@@ -39,10 +39,10 @@ from .mhe_train import (
     train_regularized,
 )
 from .neighborhood import ObservableNeighborhood, membership
-from .numlin import as_matrix, numeric_rank
+from .numlin import as_matrix
 from .orthant_geo import RankDeficientW, ZeroColumn, observability_certificate
-from .pe_design import _balance_rows, design_pe_batches, design_pe_input, design_pe_input_bias
-from .relu_net import Architecture, WeightState, observability_jacobian, observability_map
+from .pe_design import design_pe_batches, design_pe_input, design_pe_input_bias
+from .relu_net import Architecture, WeightState, observability_map
 
 __all__ = [
     "MalformedCsv",
@@ -150,7 +150,7 @@ def _sample_certified_weights(rng: np.random.Generator, m: int, n: int, attempts
         except (ZeroColumn, RankDeficientW):
             continue
         if cert.observable:
-            return W
+            return cert
     raise RuntimeError(
         f"no certified weight matrix found in {attempts} draws for m={m}, n={n}; "
         "this architecture may not admit locally observable states"
@@ -180,15 +180,10 @@ def gen_synthetic(
     # teachers whose geometry still leaves a weakly excited batch direction
     # are rejected along with their design.
     for _ in range(50):
-        W_teacher = _sample_certified_weights(rng, config.m, config.n)
+        cert = _sample_certified_weights(rng, config.m, config.n)
+        W_teacher = cert.W
         teacher = WeightState.from_parts(arch, W_teacher)
-        U, _ = design_pe_batches(W_teacher, config.k, config.n1, rng, rho_max=0.004)
-        sigma_min = np.inf
-        for b in range(config.k):
-            sl = slice(b * config.n1, (b + 1) * config.n1)
-            U[sl] *= _balance_rows(U[sl], teacher)[:, None]
-            rd = numeric_rank(observability_jacobian(teacher, U[sl]).DH)
-            sigma_min = min(sigma_min, float(rd.singular_values[rd.rank - 1]))
+        U, _, sigma_min = design_pe_batches(cert, config.k, config.n1, rng, rho_max=0.004)
         if sigma_min >= 0.1:
             break
     else:

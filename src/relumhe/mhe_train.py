@@ -33,7 +33,6 @@ __all__ = [
     "ConvergenceReport",
     "TrainingTrajectory",
     "assemble_H",
-    "projectors_for_batch",
     "mhe_step",
     "train",
     "convergence_report",
@@ -64,7 +63,6 @@ class BatchSchedule:
     """Ordered mini-batches, reused periodically: step t uses batch (t-1) mod k."""
 
     batches: tuple[Batch, ...]
-    policy: str = "periodic"
 
     @property
     def k(self) -> int:
@@ -117,11 +115,6 @@ def assemble_H(batch: Batch, neigh: ObservableNeighborhood) -> np.ndarray:
     so this matrix linearizes the output map exactly for any pair of members.
     """
     return observability_jacobian(neigh.anchor, batch.inputs).DH
-
-
-def projectors_for_batch(H) -> tuple[np.ndarray, np.ndarray]:
-    """(observable, unobservable) orthogonal projectors for a sensitivity matrix."""
-    return subspace_projectors(H)
 
 
 def mhe_step(state: TrainerState, batch: Batch) -> TrainerState:
@@ -328,13 +321,22 @@ def gd_baseline(
     test_inputs=None,
     test_targets=None,
 ) -> TrainingTrajectory:
-    """Plain mini-batch gradient descent on the mean-squared loss."""
+    """Mini-batch gradient descent on the mean-squared loss.
+
+    Each step is ``learning_rate / L_b`` times the batch gradient, where
+    L_b = 2 ||J_b(w)||_2^2 / N_b is the smoothness of the batch loss at the
+    current weights, so ``learning_rate`` is a fraction of the stable step
+    whatever the scale of the inputs.  A batch with L_b = 0 takes no step.
+    """
     w = init
     rec = _Recorder(schedule, ideal, test_inputs, test_targets)
     for t in range(1, epochs * schedule.k + 1):
         batch = schedule.batch_for_step(t)
-        _, grad = _loss_gradient(w, batch.inputs, batch.targets)
-        w = w.replace_w(w.w - learning_rate * grad)
+        J = observability_jacobian(w, batch.inputs, boundary_tol=None).DH
+        L = 2.0 * np.linalg.norm(J, 2) ** 2 / batch.size
+        if L > 0:
+            grad = (2.0 / batch.size) * (J.T @ (observability_map(w, batch.inputs) - batch.targets))
+            w = w.replace_w(w.w - learning_rate / L * grad)
         rec.record(t, w)
     return rec.trajectory(TrainerState(w_hat=w, t=epochs * schedule.k, neigh=None))
 

@@ -12,13 +12,16 @@ is computed combinatorially:
 3. keep the zero-free patterns.  These are exactly the sign vectors of the
    open orthants the subspace intersects, each certified by a witness.
 
-Affine subspaces are handled by homogenizing into one extra coordinate and
-keeping the patterns whose extra coordinate is positive.
+An affine subspace rowspace(W) + b is homogenized once, into the row space
+of [W 0; b 1], and the patterns whose extra coordinate is positive are kept.
+In that space the affine cones are linear ones, so spreading vectors inside
+them is scale-free; dividing a row set by its last coordinates afterwards
+preserves rank (a diagonal rescaling).
 
-On top of the enumeration sit the local-observability certificate (the
-indicator matrix of the sign matrix must have full column rank) and the
-extraction of full-rank vector sets inside a single orthant cone, which the
-input-design module consumes.
+The enumeration runs once per weight state, inside the local-observability
+certificate (the indicator matrix of the sign matrix must have full column
+rank).  The certificate carries the cone geometry, from which the input
+designers draw full-rank vector sets inside the orthant cones.
 """
 
 from __future__ import annotations
@@ -107,9 +110,41 @@ class SignMatrix:
 
 @dataclass(frozen=True)
 class ObservabilityCertificate:
+    """The local-observability decision and the cone geometry it was read from.
+
+    ``observable`` holds when the activation indicators of the intersected
+    orthants have full column rank (``rank`` is their rank).  The geometry
+    is kept for the input designers: the weights ``W`` and ``b``, an
+    orthonormal ``basis`` (as rows) of the space the cones are built in,
+    namely rowspace(W) or, with a bias, the row space of [W 0; b 1], and per
+    tope its ``signs`` and ``witnesses`` in that space.  ``sign_matrix``
+    holds the same topes in R^n, with the homogenizing coordinate divided out.
+    """
+
     observable: bool
     rank: int
     sign_matrix: SignMatrix
+    W: np.ndarray = field(repr=False)
+    b: np.ndarray | None = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    signs: np.ndarray = field(repr=False)
+    witnesses: np.ndarray = field(repr=False)
+
+    def _to_preactivations(self, X: np.ndarray) -> np.ndarray:
+        return X if self.b is None else X[..., :-1] / X[..., -1:]
+
+    def interior_witness(self, i: int) -> np.ndarray:
+        """Tope i's witness pushed toward the interior of its cone."""
+        return _improve_margin(self.basis.T @ self.basis, self.witnesses[i], self.signs[i])
+
+    def cone_rows(self, i: int, witness: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+        """rank(basis) independent pre-activation vectors inside tope i's cone,
+        spread from an interior ``witness`` (see :func:`_cone_rows`)."""
+        return self._to_preactivations(_cone_rows(self.basis, witness, self.signs[i], rng=rng))
+
+    def cone_point(self, i: int, witness: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """One pre-activation vector inside tope i's cone, spread from ``witness``."""
+        return self._to_preactivations(_cone_point(self.basis, witness, self.signs[i], rng))
 
 
 def _row_basis(V: np.ndarray) -> np.ndarray:
@@ -252,44 +287,37 @@ def _homogenize(W1: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vstack([top, bottom])
 
 
-def _affine_topes(M: np.ndarray, bv: np.ndarray):
-    """Homogenized basis plus the (sign, witness) pairs with positive last
-    coordinate: the orthants met by the affine subspace, in homogeneous form.
-
-    Working homogeneously turns the affine cone into a linear one, where
-    spreading vectors is scale-free; dividing a row set by its last
-    coordinates afterwards preserves rank (a diagonal rescaling).
-    """
-    Bh = _row_basis(_homogenize(M, bv))
-    topes = [(s, w) for s, w in _tope_enumeration(Bh) if s[-1] > 0]
-    return Bh, topes
-
-
-def _dehomogenize(rows_h: np.ndarray) -> np.ndarray:
-    return rows_h[:, :-1] / rows_h[:, -1:]
+def _certificate(W, b) -> ObservabilityCertificate:
+    """The certificate without the full-row-rank check; enumerates the topes
+    of rowspace(W), or of rowspace(W) + b, once."""
+    M = as_matrix(W)
+    n = M.shape[1]
+    if b is None:
+        bv = None
+        _check_columns(M)
+        basis = _row_basis(M)
+    else:
+        bv = as_vector(b)
+        if bv.size != n:
+            raise ValueError(f"bias has length {bv.size}, expected {n}")
+        _check_columns(np.vstack([M, bv]))
+        basis = _row_basis(_homogenize(M, bv))
+    topes = [(s, w) for s, w in _tope_enumeration(basis) if bv is None or s[-1] > 0]
+    dim = basis.shape[1]
+    signs = np.array([s for s, _ in topes], dtype=np.int8).reshape(-1, dim)
+    witnesses = np.array([w for _, w in topes], dtype=float).reshape(-1, dim)
+    if bv is None:
+        S = SignMatrix(signs, witnesses)
+    else:
+        S = SignMatrix(signs[:, :-1], witnesses[:, :-1] / witnesses[:, -1:])
+    rank = numeric_rank((S.rows > 0).astype(float)).rank if len(S) else 0
+    return ObservabilityCertificate(rank == n, rank, S, M, bv, basis, signs, witnesses)
 
 
 def sign_matrix(W, b=None) -> SignMatrix:
     """Sign vectors of all open orthants intersected by rowspace(W), or by
     rowspace(W) + b when a bias vector is supplied."""
-    M = as_matrix(W)
-    if b is None:
-        _check_columns(M)
-        topes = _tope_enumeration(_row_basis(M))
-        rows = [s for s, _ in topes]
-        wits = [w for _, w in topes]
-    else:
-        bv = as_vector(b)
-        if bv.size != M.shape[1]:
-            raise ValueError(f"bias has length {bv.size}, expected {M.shape[1]}")
-        _check_columns(np.vstack([M, bv]))
-        _, topes = _affine_topes(M, bv)
-        rows = [s[:-1] for s, _ in topes]
-        wits = [w[:-1] / w[-1] for _, w in topes]
-    n = M.shape[1]
-    if not rows:
-        return SignMatrix(np.zeros((0, n), dtype=np.int8), np.zeros((0, n)))
-    return SignMatrix(np.array(rows, dtype=np.int8), np.array(wits))
+    return _certificate(W, b).sign_matrix
 
 
 def observability_certificate(W, b=None) -> ObservabilityCertificate:
@@ -305,11 +333,7 @@ def observability_certificate(W, b=None) -> ObservabilityCertificate:
         raise RankDeficientW(
             f"weight matrix of shape {stacked.shape} must have full row rank"
         )
-    S = sign_matrix(W, b)
-    n = M.shape[1]
-    indicators = (S.rows > 0).astype(float)
-    rank = numeric_rank(indicators).rank if len(S) else 0
-    return ObservabilityCertificate(observable=rank == n, rank=rank, sign_matrix=S)
+    return _certificate(M, b)
 
 
 def _margin(v: np.ndarray, s: np.ndarray) -> float:
@@ -374,34 +398,28 @@ def _max_cone_step(v: np.ndarray, d: np.ndarray, s: np.ndarray) -> float:
 
 def _cone_rows(
     directions: np.ndarray,
-    witness: np.ndarray,
+    v: np.ndarray,
     s: np.ndarray,
     *,
     rng: np.random.Generator | None,
-    spread: float = 0.7,
-    witness_ready: bool = False,
 ) -> np.ndarray:
     """Full-rank vector set spread through the orthant cone with signs ``s``.
 
-    Each row moves the (margin-improved) witness along a subspace direction
-    by a fraction of the largest step that keeps every signed coordinate
-    above the interior margin.  With an ``rng`` the directions are random
-    subspace combinations, which is how distinct excitation plans are drawn;
-    without one, the orthonormal basis directions give a deterministic set.
-    ``witness_ready`` skips the interior improvement when the caller has
-    already done it (designs reuse the same witnesses many times).
+    Each row moves the witness ``v``, already pushed toward the cone interior
+    by :func:`_improve_margin` (designs reuse the same witnesses many times),
+    along a subspace direction by a fraction of the largest step that keeps
+    every signed coordinate above the interior margin.  With an ``rng`` the
+    directions are random subspace combinations, which is how distinct
+    excitation plans are drawn; without one, the orthonormal basis
+    directions, each at 70% of its step, give a deterministic set.
     """
-    if witness_ready:
-        v = witness
-    else:
-        v = _improve_margin(directions.T @ directions, witness, s)
     r = directions.shape[0]
     for attempt in range(8):
         shrink = 0.6**attempt
         rows = []
         for i in range(r):
             if rng is None:
-                d, frac = directions[i], spread
+                d, frac = directions[i], 0.7
             else:
                 d, frac = rng.standard_normal(r) @ directions, rng.uniform(0.25, 0.95)
             scale = np.abs(d).max()
@@ -420,19 +438,10 @@ def _cone_rows(
 
 
 def _cone_point(
-    directions: np.ndarray,
-    witness: np.ndarray,
-    s: np.ndarray,
-    rng: np.random.Generator,
-    *,
-    witness_ready: bool = False,
+    directions: np.ndarray, v: np.ndarray, s: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """One interior point of the orthant cone, spread away from the witness."""
-    if witness_ready:
-        v = witness
-    else:
-        P = directions.T @ directions
-        v = _improve_margin(P, witness, s)
+    """One interior point of the orthant cone, spread away from the
+    margin-improved witness ``v``."""
     for _ in range(8):
         d = rng.standard_normal(directions.shape[0]) @ directions
         scale = np.abs(d).max()
@@ -461,19 +470,9 @@ def cone_basis(W, s, b=None, rng: np.random.Generator | None = None) -> np.ndarr
     s = np.sign(np.asarray(s, dtype=float)).astype(np.int8)
     if s.size != M.shape[1] or np.any(s == 0):
         raise ValueError("s must be a zero-free sign vector matching the column count")
-    if b is None:
-        S = sign_matrix(M)
-        try:
-            idx = S.index_of(s)
-        except KeyError:
-            raise EmptyIntersection(f"orthant {s.tolist()} does not meet the subspace") from None
-        return _cone_rows(_row_basis(M), S.witnesses[idx], s, rng=rng)
-
-    bv = as_vector(b)
-    _check_columns(np.vstack([M, bv]))
-    Bh, topes = _affine_topes(M, bv)
-    s_h = np.concatenate([s, [1]]).astype(np.int8)
-    for sign_h, wit_h in topes:
-        if np.array_equal(sign_h, s_h):
-            return _dehomogenize(_cone_rows(Bh, wit_h, s_h, rng=rng))
-    raise EmptyIntersection(f"orthant {s.tolist()} does not meet the affine subspace")
+    cert = _certificate(M, b)
+    try:
+        idx = cert.sign_matrix.index_of(s)
+    except KeyError:
+        raise EmptyIntersection(f"orthant {s.tolist()} does not meet the subspace") from None
+    return cert.cone_rows(idx, cert.interior_witness(idx), rng)

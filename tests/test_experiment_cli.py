@@ -275,6 +275,17 @@ class TestCli:
         assert list(summary["methods"]) == ["mhe"]
         assert summary["config"]["epochs"] == 2
 
+    def test_default_synthetic_gd_stays_finite(self, tmp_path, capsys):
+        # The default design rescales rows by up to 1e4, so a fixed GD step
+        # diverges; the smoothness-scaled step must not.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"mode": "synthetic", "seed": 0}))
+        rc = main(["train", str(cfg_path), "--epochs", "2", "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        err = summary["methods"]["gd"]["final_estimation_error"]
+        assert np.isfinite(err) and err < 1e-2
+
     def test_error_exit_code(self, tmp_path, capsys):
         rc = main(["train", str(tmp_path / "missing.json")])
         assert rc == 1

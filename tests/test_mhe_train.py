@@ -11,12 +11,11 @@ from relumhe.mhe_train import (
     convergence_report,
     gd_baseline,
     mhe_step,
-    projectors_for_batch,
     regularized_mhe_step,
     train,
 )
 from relumhe.neighborhood import ObservableNeighborhood, membership
-from relumhe.numlin import numeric_rank, pinv
+from relumhe.numlin import numeric_rank, pinv, subspace_projectors
 from relumhe.orthant_geo import observability_certificate
 from relumhe.pe_design import design_pe_input
 from relumhe.relu_net import Architecture, WeightState, observability_map
@@ -94,14 +93,14 @@ class TestProjectors:
     def test_pe_batch_has_zero_null_projector(self):
         _, W, anchor, neigh, plan = certified_setup(seed=4)
         H = assemble_H(Batch(plan.U, np.zeros(plan.U.shape[0]), np.arange(plan.U.shape[0])), neigh)
-        P_o, P_obar = projectors_for_batch(H)
+        P_o, P_obar = subspace_projectors(H)
         np.testing.assert_allclose(P_obar, 0.0, atol=1e-10)
         np.testing.assert_allclose(P_o + P_obar, np.eye(H.shape[1]), atol=1e-12)
 
     def test_single_row_rank_one(self):
         _, W, anchor, neigh, plan = certified_setup(seed=5)
         H = assemble_H(Batch(plan.U[:1], np.zeros(1), np.arange(1)), neigh)
-        P_o, _ = projectors_for_batch(H)
+        P_o, _ = subspace_projectors(H)
         assert numeric_rank(P_o).rank == 1
 
 
@@ -128,7 +127,7 @@ class TestMheStep:
         batch = Batch(sub, observability_map(ideal, sub), np.arange(3))
         state = TrainerState(start, 0, neigh)
         out = mhe_step(state, batch)
-        _, P_obar = projectors_for_batch(assemble_H(batch, neigh))
+        _, P_obar = subspace_projectors(assemble_H(batch, neigh))
         drift = P_obar @ (out.w_hat.w - start.w)
         assert np.abs(drift).max() <= 1e-10 * (1 + np.abs(out.w_hat.w).max())
 
@@ -144,7 +143,7 @@ class TestMheStep:
             H = assemble_H(batch, neigh)
             rd = numeric_rank(H)
             sigma = rd.singular_values[rd.rank - 1]
-            P_o, _ = projectors_for_batch(H)
+            P_o, _ = subspace_projectors(H)
             lhs = np.linalg.norm(P_o @ (out.w_hat.w - ideal.w))
             assert lhs <= 2 * eps * np.sqrt(batch.size) / sigma
 

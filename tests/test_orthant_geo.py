@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,20 @@ class TestSignMatrix:
         assert {tuple(r) for r in S.rows} == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
         for row, wit in zip(S.rows, S.witnesses):
             assert np.array_equal(np.sign(wit).astype(int), row)
+
+    @pytest.mark.parametrize("m, n", [(1, 3), (2, 4), (2, 5), (3, 5), (3, 6)])
+    def test_generic_tope_counts_match_zaslavsky(self, m, n):
+        # A generic affine m-flat in R^n meets sum_{i<=m} C(n, i) open
+        # orthants, a generic linear m-subspace 2 sum_{i<m} C(n-1, i).
+        rng = np.random.default_rng(100 * m + n)
+        W = rng.standard_normal((m, n))
+        b = rng.standard_normal(n)
+        S = sign_matrix(W, b)
+        assert len(np.unique(S.rows, axis=0)) == len(S) == sum(math.comb(n, i) for i in range(m + 1))
+        assert np.array_equal(np.sign(S.witnesses), S.rows)
+        shifted = S.witnesses - b
+        np.testing.assert_allclose(shifted @ pinv(W) @ W, shifted, atol=1e-8)
+        assert len(sign_matrix(W)) == 2 * sum(math.comb(n - 1, i) for i in range(m))
 
     def test_affine_witnesses_lie_in_affine_subspace(self):
         rng = np.random.default_rng(7)

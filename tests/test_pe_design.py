@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relumhe.numlin import numeric_rank, pinv
-from relumhe.orthant_geo import RankDeficientW
+from relumhe.orthant_geo import RankDeficientW, observability_certificate
 from relumhe.pe_design import (
     CertificateFailed,
     design_pe_batches,
@@ -173,7 +173,7 @@ class TestDesignPEBatches:
     def test_batches_jointly_pe_and_well_conditioned(self):
         rng = np.random.default_rng(10)
         W = certified_weights(rng, 2, 4)
-        U, check = design_pe_batches(W, k=3, batch_size=6, rng=rng)
+        U, check, _ = design_pe_batches(observability_certificate(W), k=3, batch_size=6, rng=rng)
         assert U.shape == (18, 2)
         assert check.pe
 
@@ -184,11 +184,67 @@ class TestDesignPEBatches:
         from relumhe.pe_design import _schedule_contraction
 
         w = WeightState.from_parts(Architecture.fixed_output(2, 10), W)
-        U, _ = design_pe_batches(W, k=5, batch_size=18, rng=rng, rho_max=0.05)
+        U, _, _ = design_pe_batches(
+            observability_certificate(W), k=5, batch_size=18, rng=rng, rho_max=0.05
+        )
         assert _schedule_contraction(U, w, 5) <= 0.05 + 1e-9
+
+    def test_batches_are_balanced_and_report_their_weakest(self):
+        rng = np.random.default_rng(15)
+        W = certified_weights(rng, 2, 4)
+        w = WeightState.from_parts(Architecture.fixed_output(2, 4), W)
+        U, check, sigma_min = design_pe_batches(
+            observability_certificate(W), k=3, batch_size=6, rng=rng
+        )
+        batch_sigmas = [verify_pe(U[j * 6 : (j + 1) * 6], w).sigma_min for j in range(3)]
+        assert sigma_min == min(batch_sigmas) > 0
+        assert check == verify_pe(U, w)
+
+    def test_bias_certificate_rejected(self):
+        W1, b = certified_bias_weights(np.random.default_rng(16), 2, 4)
+        with pytest.raises(ValueError, match="fixed-output"):
+            design_pe_batches(
+                observability_certificate(W1, b), k=3, batch_size=6, rng=np.random.default_rng(0)
+            )
 
     def test_infeasible_size_rejected(self):
         rng = np.random.default_rng(12)
         W = certified_weights(rng, 2, 4)
         with pytest.raises(ValueError):
-            design_pe_batches(W, k=2, batch_size=3, rng=rng)
+            design_pe_batches(observability_certificate(W), k=2, batch_size=3, rng=rng)
+
+
+class TestEnumeratesOnce:
+    """The certificate's tope enumeration is reused, never repeated."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        from relumhe import orthant_geo
+
+        calls = []
+        original = orthant_geo._tope_enumeration
+
+        def counted(B):
+            calls.append(B.shape)
+            return original(B)
+
+        monkeypatch.setattr(orthant_geo, "_tope_enumeration", counted)
+        return calls
+
+    def test_bias_design(self, enumerations):
+        W1, b = certified_bias_weights(np.random.default_rng(13), 2, 5)
+        enumerations.clear()
+        design_pe_input_bias(W1, b)
+        assert len(enumerations) == 1
+
+    def test_fixed_output_design(self, enumerations):
+        W = certified_weights(np.random.default_rng(14), 2, 5)
+        enumerations.clear()
+        design_pe_input(W)
+        assert len(enumerations) == 1
+
+    def test_synthetic_teacher_and_batches(self, enumerations):
+        from relumhe.experiment_cli import ExperimentConfig, gen_synthetic
+
+        gen_synthetic(ExperimentConfig(seed=1))
+        assert len(enumerations) == 1
